@@ -64,7 +64,8 @@ func (m *Model) Explain(in *ir.Instr) *Explanation {
 	ex.Direct = e.output
 	ex.Crash = e.crash
 
-	for s, ps := range e.stores {
+	for _, se := range e.stores {
+		s, ps := se.in, se.p
 		sc := StoreContribution{Store: s, CorruptProb: ps.total()}
 		if m.cfg.EnableFM {
 			for band := 0; band < nClasses; band++ {
@@ -84,7 +85,8 @@ func (m *Model) Explain(in *ir.Instr) *Explanation {
 	})
 
 	if m.cfg.EnableFC {
-		for br, pb := range e.branches {
+		for _, be := range e.branches {
+			br, pb := be.in, be.p
 			eff := m.fcEffectsOf(br)
 			bc := BranchContribution{
 				Branch:   br,

@@ -40,8 +40,9 @@ type fmTerm struct {
 	key   fmKey
 }
 
-// fmEquation is out(k) = min(1, constant + Σ coeff·out(term.key)).
+// fmEquation is out(key) = min(1, constant + Σ coeff·out(term.key)).
 type fmEquation struct {
+	key      fmKey
 	constant float64
 	terms    []fmTerm
 }
@@ -55,10 +56,10 @@ type fmEquation struct {
 func (m *Model) regTerms(def *ir.Instr) (float64, []fmTerm) {
 	e := m.walkFrom(def, walkBand(classReplaced))
 	terms := make([]fmTerm, 0, len(e.stores))
-	for s, p := range e.stores {
+	for _, se := range e.stores {
 		for band := 0; band < nClasses; band++ {
-			if p[band] > 0 {
-				terms = append(terms, fmTerm{coeff: p[band], key: fmKey{s, band}})
+			if se.p[band] > 0 {
+				terms = append(terms, fmTerm{coeff: se.p[band], key: fmKey{se.in, band}})
 			}
 		}
 	}
@@ -92,10 +93,13 @@ func (m *Model) solveMemory() {
 	}
 	m.fmOut = make(map[fmKey]float64)
 
-	eqs := make(map[fmKey]*fmEquation)
-	for store, edges := range m.prof.MemGraph {
+	// Equations are ordered by (store in module instruction order, band):
+	// the sweep order of the fixed point.
+	var eqs []*fmEquation
+	for _, store := range sortedKeys(m, m.prof.MemGraph) {
+		edges := m.prof.MemGraph[store]
 		for band := 0; band < nClasses; band++ {
-			eq := &fmEquation{}
+			eq := &fmEquation{key: fmKey{store, band}}
 			for _, e := range edges {
 				w := m.prof.StoreReadProb(e)
 				if w == 0 {
@@ -114,7 +118,7 @@ func (m *Model) solveMemory() {
 					m.addEdgeTerms(eq, e.Load, band, wr)
 				}
 			}
-			eqs[fmKey{store, band}] = eq
+			eqs = append(eqs, eq)
 		}
 	}
 	m.runFixedPoint(eqs)
@@ -126,18 +130,19 @@ func (m *Model) solveMemory() {
 func (m *Model) addEdgeTerms(eq *fmEquation, load *ir.Instr, band int, w float64) {
 	loadEnds := m.walkFrom(load, walkBand(band))
 	eq.constant += w * loadEnds.output
-	for s, p := range loadEnds.stores {
+	for _, se := range loadEnds.stores {
 		for b := 0; b < nClasses; b++ {
-			if p[b] > 0 {
-				eq.terms = append(eq.terms, fmTerm{coeff: w * p[b], key: fmKey{s, b}})
+			if se.p[b] > 0 {
+				eq.terms = append(eq.terms, fmTerm{coeff: w * se.p[b], key: fmKey{se.in, b}})
 			}
 		}
 	}
 	if !m.cfg.EnableFC {
 		return
 	}
-	for br, p := range loadEnds.branches {
-		eff := m.fcEffectsOf(br)
+	for _, be := range loadEnds.branches {
+		p := be.p
+		eff := m.fcEffectsOf(be.in)
 		for _, sc := range eff.stores {
 			// Divergence-corrupted stores are high band.
 			eq.terms = append(eq.terms,
@@ -155,8 +160,10 @@ func (m *Model) addEdgeTerms(eq *fmEquation, load *ir.Instr, band int, w float64
 }
 
 // runFixedPoint iterates the equation system to its least fixed point by
-// monotone (Jacobi) sweeps from zero.
-func (m *Model) runFixedPoint(eqs map[fmKey]*fmEquation) {
+// monotone Gauss-Seidel sweeps from zero: each sweep visits the equations
+// in order and updates m.fmOut in place, so later equations of a sweep
+// already read the earlier ones' new values.
+func (m *Model) runFixedPoint(eqs []*fmEquation) {
 	maxIters := m.cfg.FMMaxIters
 	if maxIters <= 0 {
 		maxIters = 200
@@ -165,7 +172,8 @@ func (m *Model) runFixedPoint(eqs map[fmKey]*fmEquation) {
 	iters := 0
 	for ; iters < maxIters; iters++ {
 		maxDelta := 0.0
-		for key, eq := range eqs {
+		for _, eq := range eqs {
+			key := eq.key
 			v := eq.constant
 			for _, t := range eq.terms {
 				v += t.coeff * m.fmOut[t.key]

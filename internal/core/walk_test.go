@@ -78,8 +78,8 @@ f:
 	// reaching the branch.
 	e := model.walkFrom(instrByName(t, model.prof.Module, "v"), walkUniform)
 	br := model.prof.Module.Func("main").Block("entry").Terminator()
-	if math.Abs(e.branches[br]-1.0/32) > 1e-9 {
-		t.Errorf("branch flip prob = %v, want 1/32", e.branches[br])
+	if math.Abs(e.branch(br)-1.0/32) > 1e-9 {
+		t.Errorf("branch flip prob = %v, want 1/32", e.branch(br))
 	}
 	if e.output != 0 || len(e.stores) != 0 {
 		t.Error("chain should end only at the branch")
@@ -186,8 +186,8 @@ entry:
 `, TridentConfig())
 	e := model.walkFrom(instrByName(t, model.prof.Module, "x"), walkUniform)
 	store := instrByOp(t, model.prof.Module, "entry", ir.OpStore)
-	if math.Abs(e.stores[store].total()-1) > 1e-9 {
-		t.Errorf("store corruption prob = %v, want 1", e.stores[store].total())
+	if math.Abs(e.store(store).total()-1) > 1e-9 {
+		t.Errorf("store corruption prob = %v, want 1", e.store(store).total())
 	}
 	if e.output != 0 {
 		t.Errorf("direct output = %v, want 0 (print feeds from memory)", e.output)
@@ -239,8 +239,8 @@ entry:
 	}
 	// A corrupted store address never counts as a corrupted stored value.
 	store := instrByOp(t, model.prof.Module, "entry", ir.OpStore)
-	if e.stores[store].total() != 0 {
-		t.Errorf("store value corruption = %v, want 0 for address corruption", e.stores[store].total())
+	if e.store(store).total() != 0 {
+		t.Errorf("store value corruption = %v, want 0 for address corruption", e.store(store).total())
 	}
 }
 
@@ -404,4 +404,26 @@ func TestFPOutputMask(t *testing.T) {
 	if f64mask <= 0 || f64mask >= 1 {
 		t.Errorf("f64 g2 mask = %v, want in (0, 1)", f64mask)
 	}
+}
+
+// store returns the banded corruption probability of one store terminal
+// (zero when the walk does not reach it).
+func (e *ends) store(in *ir.Instr) bandPair {
+	for _, se := range e.stores {
+		if se.in == in {
+			return se.p
+		}
+	}
+	return bandPair{}
+}
+
+// branch returns the flip probability of one branch terminal (zero when
+// the walk does not reach it).
+func (e *ends) branch(in *ir.Instr) float64 {
+	for _, be := range e.branches {
+		if be.in == in {
+			return be.p
+		}
+	}
+	return 0
 }
