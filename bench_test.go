@@ -183,21 +183,21 @@ func BenchmarkProfilingPhase(b *testing.B) {
 }
 
 // BenchmarkModelAllInstructions measures TRIDENT's inference phase: per-
-// instruction SDC predictions for every executed instruction.
+// instruction SDC predictions for every executed instruction, one
+// sub-benchmark per kernel (profiling excluded, model construction
+// included). Select one kernel with -bench 'ModelAllInstructions/sad$'.
 func BenchmarkModelAllInstructions(b *testing.B) {
-	p, err := progs.ByName("pathfinder")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := p.Build()
-	prof, err := profile.Collect(m, profile.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model := core.New(prof, core.TridentConfig())
-		model.OverallSDC(0, 1)
+	for _, p := range progs.Extended() {
+		b.Run(p.Name, func(b *testing.B) {
+			prof, err := profile.Collect(p.Build(), profile.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.New(prof, core.TridentConfig()).OverallSDC(0, 1)
+			}
+		})
 	}
 }
 
