@@ -57,7 +57,10 @@ doc:
 # stratified ones, and cache-seeded plans must skip the pilot while
 # composing byte-identically to a cold run (scripts/adaptcheck.sh). The
 # stats package races alongside the other tiers — its weighted tallies
-# are accumulated by concurrent campaign code.
+# are accumulated by concurrent campaign code. The repobench smoke tests
+# run last: repobench is a separate module (outside `go build ./...`) that
+# calls internal/core, internal/profile and internal/analysis directly, so
+# an API change there would otherwise go unseen.
 check: build doc
 	$(GO) test -race ./internal/fault/... ./internal/interp/... ./internal/decoded/... ./internal/telemetry/... ./internal/server/... ./internal/sigctx/... ./internal/cache/... ./internal/hashutil/... ./internal/bitlive/... ./internal/stats/...
 	$(GO) test -race -short ./internal/crosscheck/...
@@ -69,6 +72,7 @@ check: build doc
 	$(MAKE) prunecheck
 	$(MAKE) stratcheck
 	$(MAKE) adaptcheck
+	cd repobench && $(GO) test ./...
 
 # servercheck is the campaign server's kill drill; see
 # scripts/servercheck.sh for the exact choreography.
